@@ -1,9 +1,9 @@
-"""Shared CLI surface for ``repro-bedpost`` and ``repro-track``.
+"""Shared CLI surface for the stage commands.
 
-Both commands resolve one :class:`~repro.config.spec.RunSpec` from the
-same layered sources — ``defaults < --config FILE < explicit flags <
---set dotted.key=value`` — and both expose the same flag groups.  This
-module owns those groups (previously duplicated per command):
+``repro-bedpost``, ``repro-track`` and ``repro-connectome`` resolve one
+:class:`~repro.config.spec.RunSpec` from the same layered sources —
+``defaults < --config FILE < explicit flags < --set dotted.key=value`` —
+and expose the same flag groups.  This module owns those groups:
 
 * the **configuration** group: ``--config``, ``--set``,
   ``--print-config``;
@@ -16,6 +16,12 @@ Explicit flags default to ``None`` (or ``False`` for switches) so a
 command can tell "the user passed this" from "use the spec/default
 value"; :func:`cli_flag_overrides` turns only the passed ones into
 dotted-path overrides for :func:`repro.config.resolve_run_spec`.
+
+It also owns the stage runs ``repro-track`` and ``repro-connectome``
+share over a samples archive — :func:`track_archive` and
+:func:`connectome_of` key their stages identically, so either command
+serves the other's store entries — and :func:`fibers_exporter`, the
+``.trk`` export.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ __all__ = [
     "cli_flag_overrides",
     "resolve_spec_from_args",
     "print_resolved_config",
+    "archive_fingerprint",
+    "fibers_exporter",
+    "track_archive",
+    "place_fibers",
+    "connectome_of",
 ]
 
 #: ``args`` attribute -> run-spec dotted path, for the runtime group.
@@ -213,3 +224,147 @@ def print_resolved_config(spec: RunSpec, stream=None) -> None:
     doc = {"config": spec.to_dict(), "config_hash": spec.content_hash()}
     print(json.dumps(doc, sort_keys=True, indent=2),
           file=stream if stream is not None else sys.stdout)
+
+
+def archive_fingerprint(archive) -> str:
+    """Fingerprint of a samples archive's *contents*, the stages' input key.
+
+    Two bedpost dirs with identical posteriors share artifacts, and a
+    re-sampled posterior can never serve stale ones.
+    """
+    from repro.store import fingerprint_arrays
+
+    return fingerprint_arrays(
+        samples=archive.samples,
+        mask=archive.mask,
+        affine=archive.affine,
+        n_fibers=archive.layout.n_fibers,
+        f_threshold=archive.f_threshold,
+    )
+
+
+def fibers_exporter(fields, cfg, min_steps: int, affine):
+    """The ``.trk`` export: ``export(out_dir, seeds) -> n_fibers``.
+
+    Streamline geometry is the one output the tracking stage does not
+    record, so the export re-tracks sample 0 only with the scalar
+    reference tracker, honouring ``cfg``'s criteria and interpolation
+    (the batch engines' ``"-reference"`` spelling names the same
+    lookup), and keeps fibers of at least ``min_steps`` steps.
+    """
+    import numpy as np
+
+    from repro.baselines import cpu_probabilistic_tracking
+    from repro.io import write_trk
+    from repro.tracking import filter_by_steps
+
+    voxel_sizes = tuple(np.linalg.norm(affine[:3, :3], axis=0))
+
+    def export(out_dir: Path, seeds) -> int:
+        """Write ``out_dir/fibers.trk``; return the fiber count."""
+        cpu = cpu_probabilistic_tracking(
+            fields[:1],
+            seeds,
+            cfg.criteria,
+            interpolation=cfg.interpolation.removesuffix("-reference"),
+            keep_streamlines=True,
+        )
+        lines = filter_by_steps(cpu.streamlines[0], min_steps=min_steps)
+        write_trk(
+            out_dir / "fibers.trk",
+            [line.points for line in lines],
+            voxel_sizes=voxel_sizes,
+            dims=fields[0].shape3,
+            affine=affine,
+        )
+        return len(lines)
+
+    return export
+
+
+def track_archive(fields, cfg, spec: RunSpec, store, archive_fp, export):
+    """Run (or serve) the tracking stage over a samples archive.
+
+    With a store, the stage is keyed by the spec's tracking subtree and
+    ``archive_fp``, and ``export`` writes ``fibers.trk`` (+ its count in
+    ``export_meta.json``) into the published entry.  Returns
+    ``(result, hit, entry, key)``; ``entry`` and ``key`` are ``None``
+    without a store.
+    """
+    from repro.config import stage_hash
+    from repro.config.stages import TRACKING
+    from repro.tracking import probabilistic_streamlining
+
+    if store is None:
+        return probabilistic_streamlining(fields, config=cfg), False, None, None
+    from repro.pipeline.memo import memoized_streamlining
+
+    def _write_fibers(tmp_dir, result) -> None:
+        n = export(tmp_dir, result.seeds)
+        (tmp_dir / "export_meta.json").write_text(
+            json.dumps({"n_fibers_exported": n})
+        )
+
+    key = stage_hash(spec.to_dict(), TRACKING.name, inputs={"archive": archive_fp})
+    result, hit, entry = memoized_streamlining(
+        fields,
+        cfg,
+        store,
+        key,
+        extra_writer=_write_fibers,
+        use_cache=spec.telemetry.cache,
+    )
+    return result, hit, entry, key
+
+
+def place_fibers(out_dir: Path, entry, export, seeds) -> int:
+    """Put ``fibers.trk`` in ``out_dir``: copied from the tracking store
+    entry when there is one, else exported fresh.  Returns its count."""
+    if entry is None:
+        return export(out_dir, seeds)
+    import shutil
+
+    shutil.copyfile(entry.file("fibers.trk"), out_dir / "fibers.trk")
+    return json.loads(entry.file("export_meta.json").read_text())[
+        "n_fibers_exported"
+    ]
+
+
+def connectome_of(tracking, grid_shape, spec: RunSpec, store, archive_fp):
+    """Run (or serve) the connectome stage over a tracking result.
+
+    Keyed by the spec's connectome subtree, ``archive_fp`` and the seed
+    positions.  Returns ``(result, hit, key)``; ``key`` is ``None``
+    without a store.
+    """
+    from repro.pipeline.connectome import compute_connectome, memoized_connectome
+
+    kwargs = dict(
+        min_steps=spec.connectome.min_steps,
+        normalize=spec.connectome.normalize,
+    )
+    atlas = spec.connectome.atlas
+    if store is None:
+        return compute_connectome(tracking, grid_shape, atlas, **kwargs), False, None
+    from repro.config import stage_hash
+    from repro.config.stages import CONNECTOME
+    from repro.store import fingerprint_arrays
+
+    key = stage_hash(
+        spec.to_dict(),
+        CONNECTOME.name,
+        inputs={
+            "archive": archive_fp,
+            "seeds": fingerprint_arrays(seeds=tracking.seeds),
+        },
+    )
+    result, hit, _entry = memoized_connectome(
+        tracking,
+        grid_shape,
+        key,
+        store,
+        atlas,
+        use_cache=spec.telemetry.cache,
+        **kwargs,
+    )
+    return result, hit, key

@@ -13,8 +13,6 @@ store, the workflow, and the reporting layers.  Each stage is now a
 * ``runner`` — a ``"module:callable"`` reference (or a direct callable,
   for test stages) to the pure stage runner the generic workflow walk
   invokes;
-* ``shard`` — an optional reference to the stage's
-  :class:`~repro.runtime.stage.StageShard` contract;
 * ``artifact_files`` — the payload files a store entry for this stage
   carries.
 
@@ -102,9 +100,9 @@ class StageDef:
     """One pipeline stage, declared: hashing, execution, and artifacts.
 
     Every layer that used to special-case stage names reads these fields
-    instead.  ``runner`` and ``shard`` are lazy ``"module:callable"``
-    references (or direct objects, for in-test stages) so this module
-    never imports the pipeline layers it describes.
+    instead.  ``runner`` is a lazy ``"module:callable"`` reference (or a
+    direct callable, for in-test stages) so this module never imports
+    the pipeline layers it describes.
     """
 
     #: Stage name — the store directory, cache-key prefix, and report label.
@@ -121,9 +119,6 @@ class StageDef:
     #: :class:`~repro.pipeline.workflow.StageContext`; None = not
     #: runnable via the generic workflow walk.
     runner: str | Callable | None = None
-    #: ``"module:attribute"`` (or object) naming the stage's
-    #: :class:`~repro.runtime.stage.StageShard` contract, if sharded.
-    shard: str | object | None = None
     #: Payload files a store entry for this stage carries (documentation
     #: + ``repro-store verify`` context; ``entry.json`` is implicit).
     artifact_files: tuple[str, ...] = ()
@@ -131,10 +126,6 @@ class StageDef:
     def resolve_runner(self) -> Callable | None:
         """The runner callable, importing lazily if declared by path."""
         return None if self.runner is None else resolve_stage_ref(self.runner)
-
-    def resolve_shard(self):
-        """The ``StageShard`` contract, importing lazily if by path."""
-        return None if self.shard is None else resolve_stage_ref(self.shard)
 
 
 def resolve_stage_ref(ref):
@@ -294,7 +285,6 @@ SAMPLING = register_stage(StageDef(
     name="sampling",
     spec_sections=("sampling",),
     runner="repro.pipeline.runners:run_sampling_stage",
-    shard="repro.mcmc.shards:BEDPOST_BLOCK_SHARD",
     artifact_files=("samples.npz", "meta.json", "telemetry.json"),
 ))
 
@@ -307,20 +297,18 @@ TRACKING = register_stage(StageDef(
     spec_sections=("sampling", "tracking"),
     runtime_fields=RUNTIME_DETERMINISTIC_FIELDS,
     runner="repro.pipeline.runners:run_tracking_stage",
-    shard="repro.runtime.backend:TRACKING_SHARD",
     artifact_files=("arrays.npz", "timeline.json", "telemetry.json"),
 ))
 
 #: Stage 3 — ROI-atlas parcellation -> streamline-endpoint connectivity
-#: matrix -> graph export, sharded by seed block.  Streamline geometry
-#: comes from the CPU reference tracker, which depends on the sampling
-#: and tracking sections but not on machine presets — so an atlas sweep
-#: over one tracked dataset recomputes only this stage.
+#: matrix -> graph export.  A fold over the end voxels the tracking stage
+#: recorded, which depend on the sampling and tracking sections but not
+#: on machine presets (those shape only the modeled timeline) — so an
+#: atlas sweep over one tracked dataset recomputes only this stage.
 CONNECTOME = register_stage(StageDef(
     name="connectome",
     upstream=("sampling", "tracking"),
     spec_sections=("sampling", "tracking", "connectome"),
     runner="repro.pipeline.runners:run_connectome_stage",
-    shard="repro.connectome.shards:CONNECTOME_SEED_SHARD",
     artifact_files=("connectome.npz", "graph.json", "telemetry.json"),
 ))

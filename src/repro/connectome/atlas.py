@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.config.spec import ATLAS_NAME_RE
 from repro.errors import ConfigurationError
+from repro.utils.voxels import endpoint_voxel_index
 
 __all__ = ["Atlas", "build_atlas"]
 
@@ -53,18 +54,16 @@ class Atlas:
     def label_at(self, points: np.ndarray) -> np.ndarray:
         """ROI index under each continuous voxel coordinate, ``(n,)``.
 
-        Points are binned to their nearest voxel (round-half-up, the
-        tracker's own visit convention) and clipped to the grid, so an
-        endpoint that stopped exactly on the boundary still maps to the
-        edge ROI instead of falling off the atlas.
+        Points are binned by :func:`~repro.utils.voxels.endpoint_voxel_index`
+        (round half up, clipped to the grid), so an endpoint that stopped
+        exactly on the boundary still maps to the edge ROI instead of
+        falling off the atlas.  This is the endpoint rule, not the
+        tracker's visit rule (``rint``, halves to even).
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ConfigurationError(f"points must be (n, 3), got {pts.shape}")
-        idx = np.floor(pts + 0.5).astype(np.int64)
-        for axis, extent in enumerate(self.labels.shape):
-            np.clip(idx[:, axis], 0, extent - 1, out=idx[:, axis])
-        return self.labels[idx[:, 0], idx[:, 1], idx[:, 2]]
+        return self.labels.reshape(-1)[endpoint_voxel_index(pts, self.labels.shape)]
 
 
 def _axis_bins(extent: int, k: int) -> np.ndarray:

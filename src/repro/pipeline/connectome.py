@@ -1,12 +1,14 @@
-"""Stage 3 driver: ROI-atlas connectome over tracked streamlines.
+"""Stage 3 driver: ROI-atlas connectome over the tracked streamlines.
 
-Builds the named parcellation, tracks every (sample, seed) streamline
-with the CPU reference tracker, folds endpoint pairs into a symmetric
-ROI count matrix, and exports the JSON graph — serial or sharded by
-seed block through the stage-generic supervised executor, bit-identical
-either way.  :func:`memoized_connectome` runs the whole thing through
-the artifact store under the connectome stage hash, so an atlas sweep
-over one tracked dataset reuses stages 1-2 and recomputes only this.
+The tracking stage records the voxel each streamline ended in
+(:attr:`~repro.tracking.executor.TrackingRunResult.ends`).  This stage
+builds the named parcellation and folds those endpoints into a
+symmetric ROI count matrix plus its JSON graph export — the muscip
+``generate_connectome(fibers, roi)`` shape: already-tracked fibers
+folded over a label volume, with no tracking of its own.
+:func:`memoized_connectome` runs it through the artifact store under
+the connectome stage hash, so an atlas sweep over one tracked dataset
+reuses stages 1-2 and recomputes only this fold.
 """
 
 from __future__ import annotations
@@ -19,14 +21,10 @@ import numpy as np
 from repro.config.stages import CONNECTOME
 from repro.connectome.atlas import Atlas, build_atlas
 from repro.connectome.matrix import connectome_graph
-from repro.connectome.shards import (
-    CONNECTOME_SEED_SHARD,
-    make_seed_tasks,
-    run_seed_blocks,
-)
+from repro.errors import ConfigurationError, TrackingError
 from repro.pipeline.memo import run_memoized
 from repro.telemetry import get_registry
-from repro.tracking.criteria import TerminationCriteria
+from repro.utils.voxels import endpoint_voxel_index
 
 __all__ = ["ConnectomeResult", "compute_connectome", "memoized_connectome"]
 
@@ -45,125 +43,96 @@ class ConnectomeResult:
         Streamlines that passed the ``min_steps`` filter (all samples).
     graph:
         The JSON-safe graph document (nodes, weighted edges).
-    lines:
-        Sample-0 streamline point arrays in seed order, for ``.trk``
-        export.
-    supervision:
-        The :class:`~repro.runtime.supervisor.SupervisorReport` when the
-        seed blocks ran under supervision; ``None`` for serial, inline,
-        or cache-served runs.
     """
 
     atlas: Atlas
     counts: np.ndarray
     n_streamlines: int
     graph: dict
-    lines: list[np.ndarray]
-    supervision: object | None = None
+
+
+def _endpoint_pairs(tracking, grid_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(sample, seed) endpoint voxel pairs and their step counts.
+
+    A unidirectional run pairs each seed's voxel with the streamline's
+    end voxel.  A bidirectional run launched every seed twice (``+``
+    sense first, then ``-``), so each (sample, seed) counts once, as the
+    pair (forward end, backward end) with the two passes' summed length.
+    """
+    seeds = np.asarray(tracking.seeds, dtype=np.float64)
+    ends, lengths = tracking.run.ends, tracking.run.lengths
+    n_seeds = seeds.shape[0]
+    if ends.shape[1] == 2 * n_seeds:
+        return (
+            ends[:, :n_seeds],
+            ends[:, n_seeds:],
+            lengths[:, :n_seeds] + lengths[:, n_seeds:],
+        )
+    if ends.shape[1] != n_seeds:
+        raise TrackingError(
+            f"tracking result has {ends.shape[1]} launches for {n_seeds} "
+            "seeds; expected one or two per seed"
+        )
+    seed_vox = np.broadcast_to(endpoint_voxel_index(seeds, grid_shape), ends.shape)
+    return seed_vox, ends, lengths
 
 
 def compute_connectome(
-    fields,
-    seeds: np.ndarray,
+    tracking,
+    grid_shape: tuple[int, int, int],
     atlas_name: str,
-    criteria: TerminationCriteria | None = None,
-    interpolation: str = "trilinear",
     min_steps: int = 0,
     normalize: str = "count",
-    n_workers: int = 1,
-    max_retries: int = 2,
-    shard_timeout_s: float | None = None,
-    fallback_to_serial: bool = True,
-    fault_plan=None,
 ) -> ConnectomeResult:
-    """Track, endpoint-count, and graph-export one connectome.
+    """Fold one tracking result's endpoints into an ROI connectome.
 
-    Deterministic for any ``n_workers`` (``runtime.connectome_workers``):
-    the serial seed-block decomposition is only grouped into shards, the
-    tracker is pure per (field, seed), and the parent folds integer
-    count matrices and sample-0 lines in task order.
+    Parameters
+    ----------
+    tracking:
+        The tracking stage's
+        :class:`~repro.tracking.probtrack.ProbtrackResult` (its ``seeds``
+        and ``run.ends`` / ``run.lengths``).
+    grid_shape:
+        The tracked volume's ``(nx, ny, nz)``; the atlas is built over it.
+    atlas_name:
+        The parcellation (see :func:`~repro.connectome.atlas.build_atlas`).
+    min_steps:
+        Streamlines with fewer steps are not counted.
+    normalize:
+        Graph edge weights: ``"count"`` or ``"fraction"``.
+
+    Pure integer arithmetic: a pair ``(a, b)`` with ``a != b`` increments
+    both ``[a, b]`` and ``[b, a]``; a self-connection increments the
+    diagonal once, so the upper triangle sums to ``n_streamlines``.
     """
-    from repro.runtime.stage import StageShardExecutor
-
-    registry = get_registry()
-    seeds = np.asarray(seeds, dtype=np.float64)
-    criteria = criteria if criteria is not None else TerminationCriteria()
-    grid_shape = tuple(int(s) for s in fields[0].f.shape[:3])
+    if min_steps < 0:
+        raise ConfigurationError(f"min_steps must be >= 0, got {min_steps}")
+    grid_shape = tuple(int(s) for s in grid_shape)
     atlas = build_atlas(atlas_name, grid_shape)
-    counts = np.zeros((atlas.n_rois, atlas.n_rois), dtype=np.int64)
-    n_counted = 0
-    lines: list[np.ndarray] = []
-    report = None
-
-    task_kwargs = dict(
-        criteria=criteria,
-        interpolation=interpolation,
-        atlas_name=atlas_name,
-        grid_shape=grid_shape,
-        min_steps=min_steps,
-    )
-    if n_workers <= 1 and fault_plan is None:
-        # Serial: the same block loop the workers run, directly under
-        # the active registry.
-        (task,) = make_seed_tasks(fields, seeds, 1, **task_kwargs)
-        payload = run_seed_blocks(task)
-        counts += payload["counts"]
-        n_counted += payload["n_counted"]
-        lines.extend(payload["lines"])
-    else:
-        executor = StageShardExecutor(
-            n_workers,
-            max_retries=max_retries,
-            shard_timeout_s=shard_timeout_s,
-            fallback_to_serial=fallback_to_serial,
-            fault_plan=fault_plan,
-        )
-        from repro.connectome.shards import seed_blocks
-
-        n_blocks = len(seed_blocks(seeds.shape[0]))
-        n_shards = executor.plan_shards(CONNECTOME_SEED_SHARD, n_blocks)
-        tasks = make_seed_tasks(fields, seeds, n_shards, **task_kwargs)
-        worker_slot = 0
-
-        def _absorb(index: int, outs: list) -> None:
-            nonlocal n_counted, worker_slot
-            for result, metrics in outs:
-                counts[...] += result["counts"]
-                n_counted += result["n_counted"]
-                lines.extend(result["lines"])
-                registry.merge_snapshot(metrics, worker=worker_slot + 1)
-                worker_slot += 1
-
-        with registry.span(
-            "runtime.shards", n_shards=n_shards, stage=CONNECTOME.name
-        ):
-            report = executor.run(CONNECTOME_SEED_SHARD, tasks, _absorb)
-
+    a_vox, b_vox, steps = _endpoint_pairs(tracking, grid_shape)
+    keep = steps >= min_steps
+    labels = atlas.labels.reshape(-1).astype(np.int64)
+    n = atlas.n_rois
+    pairs = np.bincount(
+        labels[a_vox[keep]] * n + labels[b_vox[keep]], minlength=n * n
+    ).reshape(n, n)
+    counts = (pairs + pairs.T - np.diag(np.diag(pairs))).astype(np.int64)
+    n_counted = int(keep.sum())
+    get_registry().count("connectome.streamlines_counted", n_counted)
     graph = connectome_graph(
         counts, atlas, normalize=normalize, n_streamlines=n_counted
     )
     return ConnectomeResult(
-        atlas=atlas,
-        counts=counts,
-        n_streamlines=n_counted,
-        graph=graph,
-        lines=lines,
-        supervision=report,
+        atlas=atlas, counts=counts, n_streamlines=n_counted, graph=graph
     )
 
 
 def _serialize(tmp_dir, result: ConnectomeResult) -> None:
     """Write one connectome result's payload files into ``tmp_dir``."""
-    line_arrays = {
-        f"line{i:06d}": np.asarray(pts, dtype=np.float64)
-        for i, pts in enumerate(result.lines)
-    }
     np.savez_compressed(
         tmp_dir / "connectome.npz",
         counts=result.counts,
         labels=result.atlas.labels,
-        n_lines=np.int64(len(result.lines)),
-        **line_arrays,
     )
     (tmp_dir / "graph.json").write_text(
         json.dumps(result.graph, sort_keys=True)
@@ -179,24 +148,21 @@ def _rehydrate(entry) -> ConnectomeResult:
         labels=np.ascontiguousarray(blob["labels"]),
         n_rois=int(graph["n_rois"]),
     )
-    lines = [blob[f"line{i:06d}"] for i in range(int(blob["n_lines"]))]
     return ConnectomeResult(
         atlas=atlas,
         counts=blob["counts"],
         n_streamlines=int(graph["n_streamlines"]),
         graph=graph,
-        lines=lines,
     )
 
 
 def memoized_connectome(
-    fields,
-    seeds: np.ndarray,
+    tracking,
+    grid_shape: tuple[int, int, int],
     key: str,
     store,
     atlas_name: str,
     use_cache: bool = True,
-    extra_writer=None,
     **compute_kwargs,
 ) -> tuple[ConnectomeResult, bool, object]:
     """Run (or serve) the connectome stage through the artifact store.
@@ -211,7 +177,7 @@ def memoized_connectome(
         CONNECTOME.name,
         key,
         compute=lambda: compute_connectome(
-            fields, seeds, atlas_name, **compute_kwargs
+            tracking, grid_shape, atlas_name, **compute_kwargs
         ),
         serialize=_serialize,
         rehydrate=_rehydrate,
@@ -221,5 +187,4 @@ def memoized_connectome(
             "n_streamlines": int(result.n_streamlines),
         },
         use_cache=use_cache,
-        extra_writer=extra_writer,
     )

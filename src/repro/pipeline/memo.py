@@ -14,9 +14,9 @@ connectivity matrix:
   telemetry atomically, and returns the live result;
 * on a **hit**, it rebuilds a bit-identical
   :class:`~repro.tracking.probtrack.ProbtrackResult` from the entry
-  (lengths, reasons, visit counts, timeline) and replays the stored
-  deterministic counters into the active registry so warm manifests
-  match cold ones.
+  (lengths, reasons, end voxels, visit counts, timeline) and replays
+  the stored deterministic counters into the active registry so warm
+  manifests match cold ones.
 
 Only deterministic outputs round-trip exactly; measured quantities
 (wall seconds, per-worker walls, the supervision report) are stored for
@@ -30,6 +30,7 @@ import json
 import numpy as np
 
 from repro.config.stages import TRACKING
+from repro.errors import IOFormatError, TrackingError
 from repro.gpu.timeline import Timeline
 from repro.store.fingerprint import fingerprint_arrays
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
@@ -62,7 +63,8 @@ def run_memoized(
     * on a **miss**, run ``compute()`` under a child registry, publish
       ``serialize(tmp_dir, result)`` + the telemetry snapshot (+
       ``extra_writer(tmp_dir, result)`` if given) atomically, and return
-      the live result;
+      the live result; with ``use_cache=False`` the published result
+      replaces any entry already under ``key``;
     * with ``store=None`` the stage just runs, unrecorded.
 
     ``meta`` may be a dict or a ``result -> dict`` callable (for
@@ -100,7 +102,9 @@ def run_memoized(
             extra_writer(tmp_dir, result)
 
     resolved_meta = meta(result) if callable(meta) else dict(meta or {})
-    entry = store.publish(stage, key, _write, meta=resolved_meta)
+    entry = store.publish(
+        stage, key, _write, meta=resolved_meta, replace=not use_cache
+    )
     return result, False, entry
 
 
@@ -123,6 +127,7 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
     arrays = {
         "lengths": run.lengths,
         "reasons": run.reasons,
+        "ends": run.ends,
         "seeds": result.seeds,
     }
     conn = result.connectivity
@@ -158,8 +163,19 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
 
 
 def _rehydrate(entry, cfg) -> ProbtrackResult:
-    """Rebuild a :class:`ProbtrackResult` from one store entry."""
+    """Rebuild a :class:`ProbtrackResult` from one store entry.
+
+    Entries published before the tracker recorded end voxels carry no
+    ``ends`` array.  Such an entry cannot feed the connectome stage, so
+    it is refused with an error naming it rather than served.
+    """
     blob = np.load(entry.file("arrays.npz"))
+    if "ends" not in blob:
+        raise IOFormatError(
+            f"tracking store entry {entry.path} predates end-voxel "
+            "recording (arrays.npz has no 'ends'); re-run with --no-cache "
+            "to replace it, or delete that directory"
+        )
     timeline_doc = json.loads(entry.file("timeline.json").read_text())
     timeline = Timeline()
     for e in timeline_doc["events"]:
@@ -167,6 +183,7 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
     run = TrackingRunResult(
         lengths=blob["lengths"],
         reasons=blob["reasons"],
+        ends=blob["ends"],
         timeline=timeline,
         launches=[],
         cpu_seconds=float(timeline_doc["cpu_seconds"]),
@@ -186,8 +203,6 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
             (blob["conn_data"], blob["conn_indices"], blob["conn_indptr"]),
             shape=shape,
         )
-    from repro.errors import TrackingError
-
     try:
         fit = fit_exponential(
             run.lengths.ravel(), truncate_at=float(cfg.criteria.max_steps)

@@ -10,8 +10,9 @@ contiguous shard, and merges the outputs deterministically.
 
 Determinism contract
 --------------------
-For any worker count, ``lengths``, ``reasons``, connectivity counts, and
-per-kind timeline totals are **bit-identical** to the serial path:
+For any worker count, ``lengths``, ``reasons``, ``ends``, connectivity
+counts, and per-kind timeline totals are **bit-identical** to the serial
+path:
 
 * samples are sharded contiguously (:func:`partition_seeds`), and each
   shard is told its global ``sample_offset`` — so every per-sample
@@ -241,6 +242,12 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
         )
     if not isinstance(reasons, np.ndarray) or reasons.shape != lengths.shape:
         raise _bad("reasons shape does not match lengths")
+    ends = getattr(result, "ends", None)
+    if not isinstance(ends, np.ndarray) or ends.shape != lengths.shape:
+        raise _bad("ends shape does not match lengths")
+    n_vox = int(np.prod(task.fields[0].shape3))
+    if ends.size and (ends.min() < 0 or ends.max() >= n_vox):
+        raise _bad(f"end voxels outside the {n_vox}-voxel grid")
     if lengths.min(initial=0) < 0:
         raise _bad("negative streamline lengths")
     if lengths.max(initial=0) > task.criteria.max_steps:

@@ -6,7 +6,7 @@ shard is told its global ``sample_offset``, its rows, labels, and stream
 parities are bit-identical to the corresponding slice of a serial run —
 so merging is pure concatenation in global sample order:
 
-* ``lengths`` / ``reasons`` — row-stacked shard blocks;
+* ``lengths`` / ``reasons`` / ``ends`` — row-stacked shard blocks;
 * timeline events — concatenated shard logs.  Event *seconds* and order
   match the serial log exactly (float summation order is preserved, so
   per-kind totals are bitwise equal); each shard's events are re-tagged
@@ -19,7 +19,8 @@ so merging is pure concatenation in global sample order:
   serial path keeps *two* sample images resident, so a shard holding a
   single sample reports a lower peak than the serial run would — peak
   memory is a per-worker footprint, not part of the bit-identity
-  contract (lengths, reasons, connectivity, per-kind timeline totals);
+  contract (lengths, reasons, ends, connectivity, per-kind timeline
+  totals);
 * ``cpu_seconds`` — recomputed from the merged lengths, which equals the
   serial value bitwise because the lengths are integers.
 
@@ -78,6 +79,7 @@ def merge_shard_results(
 
     lengths = np.concatenate([p.lengths for p in parts], axis=0)
     reasons = np.concatenate([p.reasons for p in parts], axis=0)
+    ends = np.concatenate([p.ends for p in parts], axis=0)
 
     timeline = Timeline()
     launches = []
@@ -104,6 +106,7 @@ def merge_shard_results(
     return TrackingRunResult(
         lengths=lengths,
         reasons=reasons,
+        ends=ends,
         timeline=timeline,
         launches=launches,
         cpu_seconds=float(lengths.sum()) * host.seconds_per_iteration,

@@ -304,7 +304,9 @@ class ArtifactStore:
 
     # -- write path ---------------------------------------------------------
 
-    def publish(self, stage: str, key: str, write_callback, meta=None) -> StoreEntry:
+    def publish(
+        self, stage: str, key: str, write_callback, meta=None, replace=False
+    ) -> StoreEntry:
         """Atomically publish one artifact; idempotent under races.
 
         Parameters
@@ -317,6 +319,11 @@ class ArtifactStore:
             and the tmp directory is removed.
         meta:
             Optional JSON-safe metadata stored in ``entry.json``.
+        replace:
+            Supersede a valid entry already published under this key
+            (the ``--no-cache`` refresh) instead of keeping it.  The old
+            entry is renamed aside before the new one is renamed in, so
+            a reader sees one or the other, or a miss.
 
         Returns
         -------
@@ -365,14 +372,26 @@ class ArtifactStore:
             try:
                 os.rename(tmp_dir, final)
             except OSError:
-                # Lost the race (or a stale entry already exists): keep
-                # whatever is there if it validates, else replace it.
+                # Lost the race (or an entry already exists): keep it if
+                # it validates and we are not replacing it.  Otherwise
+                # move it aside in one rename (readers see it, ours, or a
+                # miss) and put ours in its place.
                 existing = self._read_entry(stage, key, final)
-                shutil.rmtree(tmp_dir, ignore_errors=True)
-                if existing is not None:
+                if existing is not None and not replace:
+                    shutil.rmtree(tmp_dir, ignore_errors=True)
                     return existing
-                shutil.rmtree(final, ignore_errors=True)
-                return self.publish(stage, key, write_callback, meta=meta)
+                aside = Path(tempfile.mkdtemp(dir=tmp_root, prefix="replaced-"))
+                try:
+                    os.rename(final, aside / "entry")
+                except OSError:
+                    pass  # already gone
+                shutil.rmtree(aside, ignore_errors=True)
+                try:
+                    os.rename(tmp_dir, final)
+                except OSError:
+                    # A concurrent publisher took the freed slot.
+                    shutil.rmtree(tmp_dir, ignore_errors=True)
+                    return self.publish(stage, key, write_callback, meta=meta)
             nbytes = sum(int(f["bytes"]) for f in files.values())
             self.stats.record(stage, "write", nbytes)
             reg = get_registry()

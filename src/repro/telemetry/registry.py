@@ -200,8 +200,7 @@ class MetricsRegistry:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
-        #: name -> [total_seconds, count]; the flat stage ledger
-        #: (:class:`repro.utils.profiling.TimingAccumulator`'s substrate).
+        #: name -> [total_seconds, count]; the flat stage ledger.
         self.timers: dict[str, list] = {}
         self.spans: list[SpanRecord] = []
         self._span_stack: list[int] = []

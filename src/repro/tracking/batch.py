@@ -8,9 +8,10 @@ segment-bounded: :meth:`BatchTracker.run_segment` advances at most
 ``n_iterations`` steps and reports each thread's *executed* iteration
 count, which the machine model turns into SIMD wavefront time.
 
-The semantics match :func:`repro.tracking.streamline.track_streamline`
-step for step (asserted in the test suite — the paper's "CPU and GPU
-results are substantially the same" check, here made exact).
+The semantics match the scalar reference tracker
+(:mod:`repro.tracking.streamline`) step for step (asserted in the test
+suite — the paper's "CPU and GPU results are substantially the same"
+check, here made exact).
 
 Array backend
 -------------

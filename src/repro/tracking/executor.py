@@ -38,6 +38,7 @@ from repro.tracking.fused import FusedBatchTracker, FusedVisitBuffer, StackedFie
 from repro.tracking.interpolate import nearest_flat_index, nearest_lookup
 from repro.tracking.segmentation import SegmentationStrategy
 from repro.telemetry import get_registry
+from repro.utils.voxels import endpoint_voxel_index
 
 __all__ = [
     "SegmentedTracker",
@@ -56,6 +57,24 @@ TRACKING_ENGINES = ("per-sample", "fused")
 STEP_HISTOGRAM_EDGES = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
 
+def _retire(xb, state: BatchState, rows, out, shape3, sample=None) -> None:
+    """Scatter ``rows`` of ``state`` into the ``(lengths, reasons, ends)``
+    result arrays at their (sample, origin) cells.
+
+    ``sample`` is the per-sample engine's result row; fused states carry
+    their own per-row sample indices.
+    """
+    lengths, reasons, ends = out
+    if sample is None:
+        sample = xb.to_numpy(state.sample[rows])
+    origin = xb.to_numpy(state.origin[rows])
+    lengths[sample, origin] = xb.to_numpy(state.steps[rows])
+    reasons[sample, origin] = xb.to_numpy(state.reason[rows])
+    ends[sample, origin] = endpoint_voxel_index(
+        xb.to_numpy(state.positions[rows]), shape3
+    )
+
+
 def _field_image_bytes(field: FiberField) -> int:
     """Device footprint of one sample volume: f + directions as float32."""
     n_vox = int(np.prod(field.shape3))
@@ -72,6 +91,13 @@ class TrackingRunResult:
         ``(n_samples, n_seeds)`` steps per streamline.
     reasons:
         ``(n_samples, n_seeds)`` :class:`StopReason` codes.
+    ends:
+        ``(n_samples, n_seeds)`` int64 flat index of the voxel holding
+        each streamline's last accepted position (the seed itself for a
+        zero-step streamline), binned by
+        :func:`~repro.utils.voxels.endpoint_voxel_index`.  This is the
+        per-thread end position the modeled kernel reads back; the
+        connectome stage folds it over an atlas.
     timeline:
         Every modeled event, in execution order.
     launches:
@@ -99,6 +125,7 @@ class TrackingRunResult:
 
     lengths: np.ndarray
     reasons: np.ndarray
+    ends: np.ndarray
     timeline: Timeline
     launches: list[KernelLaunch] = dc_field(default_factory=list)
     cpu_seconds: float = 0.0
@@ -339,6 +366,8 @@ class SegmentedTracker:
 
         lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
         reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        ends = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        out = (lengths, reasons, ends)
         timeline = Timeline()
         launches: list[KernelLaunch] = []
         registry = get_registry()
@@ -408,9 +437,7 @@ class SegmentedTracker:
             n_born_dead = int(born_dead.sum())
             if n_born_dead:
                 registry.count("tracking.born_dead", n_born_dead)
-                bd_origin = xb.to_numpy(state.origin[born_dead])
-                lengths[s, bd_origin] = 0
-                reasons[s, bd_origin] = xb.to_numpy(state.reason[born_dead])
+                _retire(xb, state, born_dead, out, field.shape3, sample=s)
                 state = state.compact()
 
             visit_cb = None
@@ -461,16 +488,12 @@ class SegmentedTracker:
                     registry.count(
                         "tracking.threads_retired", int(finished.sum())
                     )
-                    fin_origin = xb.to_numpy(state.origin[finished])
-                    lengths[s, fin_origin] = xb.to_numpy(state.steps[finished])
-                    reasons[s, fin_origin] = xb.to_numpy(state.reason[finished])
+                    _retire(xb, state, finished, out, field.shape3, sample=s)
                     state = state.compact()
 
             if state.n_active:  # budget covered but threads still active
                 state.reason[:] = StopReason.MAX_STEPS
-                origin = xb.to_numpy(state.origin)
-                lengths[s, origin] = xb.to_numpy(state.steps)
-                reasons[s, origin] = xb.to_numpy(state.reason)
+                _retire(xb, state, slice(None), out, field.shape3, sample=s)
 
             if connectivity is not None:
                 connectivity.end_sample()
@@ -486,6 +509,7 @@ class SegmentedTracker:
         result = TrackingRunResult(
             lengths=lengths,
             reasons=reasons,
+            ends=ends,
             timeline=timeline,
             launches=launches,
             cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,
@@ -543,6 +567,7 @@ class SegmentedTracker:
             return TrackingRunResult(
                 lengths=lengths,
                 reasons=np.concatenate([first.reasons, rest.reasons], axis=0),
+                ends=np.concatenate([first.ends, rest.ends], axis=0),
                 timeline=timeline,
                 launches=first.launches + rest.launches,
                 cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,
@@ -560,6 +585,8 @@ class SegmentedTracker:
 
         lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
         reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        ends = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        out = (lengths, reasons, ends)
         timeline = Timeline()
         launches: list[KernelLaunch] = []
 
@@ -624,10 +651,7 @@ class SegmentedTracker:
         n_born_dead = int(born_dead.sum())
         if n_born_dead:
             registry.count("tracking.born_dead", n_born_dead)
-            bd_sample = xb.to_numpy(state.sample[born_dead])
-            bd_origin = xb.to_numpy(state.origin[born_dead])
-            lengths[bd_sample, bd_origin] = 0
-            reasons[bd_sample, bd_origin] = xb.to_numpy(state.reason[born_dead])
+            _retire(xb, state, born_dead, out, stack.shape3)
             state = state.compact()
 
         visit_cb = None
@@ -700,14 +724,7 @@ class SegmentedTracker:
                     n_finished = int(finished.sum())
                     registry.count("tracking.threads_retired", n_finished)
                     if n_finished:
-                        fin_sample = xb.to_numpy(state.sample[finished])
-                        fin_origin = xb.to_numpy(state.origin[finished])
-                        lengths[fin_sample, fin_origin] = xb.to_numpy(
-                            state.steps[finished]
-                        )
-                        reasons[fin_sample, fin_origin] = xb.to_numpy(
-                            state.reason[finished]
-                        )
+                        _retire(xb, state, finished, out, stack.shape3)
                         state = state.compact()
                     remaining -= max(iters_run, 1)
                     if remaining > 0 and state.n_active > 0:
@@ -722,10 +739,7 @@ class SegmentedTracker:
 
         if state.n_active:  # budget covered but threads still active
             state.reason[:] = StopReason.MAX_STEPS
-            fin_sample = xb.to_numpy(state.sample)
-            fin_origin = xb.to_numpy(state.origin)
-            lengths[fin_sample, fin_origin] = xb.to_numpy(state.steps)
-            reasons[fin_sample, fin_origin] = xb.to_numpy(state.reason)
+            _retire(xb, state, slice(None), out, stack.shape3)
 
         if sink is not None:
             sink.flush(connectivity)
@@ -738,6 +752,7 @@ class SegmentedTracker:
         return TrackingRunResult(
             lengths=lengths,
             reasons=reasons,
+            ends=ends,
             timeline=timeline,
             launches=launches,
             cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,

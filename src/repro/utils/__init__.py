@@ -1,8 +1,9 @@
-"""Shared utilities: geometry, validation, and timing helpers.
+"""Shared utilities: geometry and validation helpers.
 
 Process-level parallelism lives in :mod:`repro.runtime` (stage-generic
 shards with supervision); the old ``utils.parallel`` chunked-map
-helpers it superseded are gone.
+helpers it superseded are gone, and timing goes through
+:mod:`repro.telemetry`.
 """
 
 from repro.utils.geometry import (
@@ -23,7 +24,6 @@ from repro.utils.validation import (
     check_shape,
     check_unit_vector,
 )
-from repro.utils.profiling import Stopwatch, TimingAccumulator
 
 __all__ = [
     "angle_between",
@@ -40,6 +40,4 @@ __all__ = [
     "check_probability",
     "check_shape",
     "check_unit_vector",
-    "Stopwatch",
-    "TimingAccumulator",
 ]

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["flat_voxel_index", "in_bounds_mask", "clip_to_grid"]
+__all__ = [
+    "flat_voxel_index",
+    "in_bounds_mask",
+    "clip_to_grid",
+    "endpoint_voxel_index",
+]
 
 
 def flat_voxel_index(
@@ -40,3 +45,19 @@ def clip_to_grid(ijk: np.ndarray, shape3: tuple[int, int, int]) -> np.ndarray:
     """Integer coords clamped to the grid (``CLAMP_TO_EDGE`` semantics)."""
     nx, ny, nz = shape3
     return np.clip(ijk, 0, np.array([nx - 1, ny - 1, nz - 1]))
+
+
+def endpoint_voxel_index(
+    points: np.ndarray, shape3: tuple[int, int, int]
+) -> np.ndarray:
+    """Flat index of the voxel owning each continuous ``(n, 3)`` position.
+
+    The endpoint binning rule shared by the tracker's recorded ends and
+    the atlas lookup: round half up (``floor(p + 0.5)``), then clip to
+    the grid, so a position exactly on a boundary still maps to the edge
+    voxel.  Streamline *visits* use ``rint`` instead, which rounds
+    halves to even, so the two rules differ at ``.5``.
+    """
+    ijk = np.floor(np.asarray(points, dtype=np.float64) + 0.5).astype(np.int64)
+    ijk = clip_to_grid(ijk, shape3)
+    return flat_voxel_index(ijk[..., 0], ijk[..., 1], ijk[..., 2], shape3)

@@ -255,3 +255,109 @@ class TestTrackCommand:
         )
         d_par = read_nifti(workdir / "track_par" / "density.nii.gz")
         assert np.array_equal(d_serial.data, d_par.data)
+
+    def test_trk_export_honours_interpolation(self, workdir):
+        """A ``nearest`` spec exports nearest-neighbour geometry: the
+        ``.trk`` holds exactly the sample-0 scalar paths tracked with
+        ``interpolation="nearest"``."""
+        from repro.io import write_trk
+        from repro.io.samples import load_samples
+        from repro.tracking import (
+            TerminationCriteria,
+            initial_directions,
+            nearest_lookup,
+            seeds_from_mask,
+            track_streamline,
+        )
+
+        bedpost = workdir / "data" / "bedpost"
+        out = workdir / "track_nearest"
+        rc = track_main(
+            [
+                str(bedpost),
+                "--output-dir", str(out),
+                "--step", "0.4",
+                "--threshold", "0.7",
+                "--max-steps", "60",
+                "--min-export-steps", "5",
+                "--set", "tracking.interpolation=nearest",
+            ]
+        )
+        assert rc == 0
+        archive = load_samples(bedpost / "samples.npz")
+        field = archive.to_fields()[0]
+        seeds = seeds_from_mask(field.mask & (field.f[..., 0] > 0))
+        headings = initial_directions(*nearest_lookup(field, seeds))
+        criteria = TerminationCriteria(max_steps=60, min_dot=0.7, step_length=0.4)
+        expected = [
+            line.points
+            for line in (
+                track_streamline(field, s, h, criteria, "nearest")
+                for s, h in zip(seeds, headings)
+            )
+            if line.n_steps >= 5
+        ]
+        assert expected
+        # Round-trip the expected paths through the same float32 format.
+        write_trk(
+            workdir / "expected.trk",
+            expected,
+            voxel_sizes=tuple(np.linalg.norm(archive.affine[:3, :3], axis=0)),
+            dims=field.shape3,
+            affine=archive.affine,
+        )
+        want, _ = read_trk(workdir / "expected.trk")
+        got, _ = read_trk(out / "fibers.trk")
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestConnectomeCommand:
+    ARGS = ["--step", "0.4", "--threshold", "0.7", "--max-steps", "60",
+            "--min-export-steps", "5"]
+
+    def test_track_then_connectome_share_the_store(self, workdir, capsys):
+        """``repro-connectome`` runs the tracking stage under the same key
+        as ``repro-track --connectome``: after the latter, both of its
+        stages are store hits and its outputs are byte-equal."""
+        from repro.cli.connectome_cmd import main as connectome_main
+
+        bedpost = workdir / "data" / "bedpost"
+        store = workdir / "shared_store"
+        rc = track_main(
+            [str(bedpost), "--output-dir", str(workdir / "tc_track"),
+             "--connectome", "octant", "--store", str(store),
+             "--set", "tracking.step_length=0.4",
+             "--set", "tracking.min_dot=0.7",
+             "--set", "tracking.max_steps=60",
+             "--set", "tracking.min_export_steps=5"]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        rc = connectome_main(
+            [str(bedpost), "--output-dir", str(workdir / "tc_conn"),
+             "--atlas", "octant", "--store", str(store),
+             # Steers the tracking stage; execution policy, so still a hit.
+             "--workers", "2",
+             "--set", "tracking.step_length=0.4",
+             "--set", "tracking.min_dot=0.7",
+             "--set", "tracking.max_steps=60",
+             "--set", "tracking.min_export_steps=5",
+             "--metrics-out", str(workdir / "tc_conn" / "run.json")]
+        )
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "(served from store)" in printed
+        assert "(tracking served from store)" in printed
+        from repro.telemetry import load_manifest
+
+        cache = load_manifest(workdir / "tc_conn" / "run.json")["cache"]
+        assert cache["tracking_hit"] is True
+        assert cache["connectome_hit"] is True
+        for name in ("graph.json", "fibers.trk"):
+            a = (workdir / "tc_track" / name).read_bytes()
+            b = (workdir / "tc_conn" / name).read_bytes()
+            assert a == b, name
+        graph = json.loads((workdir / "tc_conn" / "graph.json").read_text())
+        assert graph["atlas"] == "octant" and graph["n_streamlines"] > 0

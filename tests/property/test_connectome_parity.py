@@ -1,11 +1,11 @@
 """Connectome-stage parity: workers, cache, faults, and stage reuse.
 
-The stage's bit-identity contract mirrors the other two stages':
+The connectome is a fold over the tracking stage's recorded end voxels,
+so its bit-identity contract rides on the tracking stage's:
 
-* the endpoint matrix is identical for any ``connectome_workers`` count
-  (the seed-block decomposition is only *grouped* into shards);
+* the endpoint matrix is identical for any tracking worker count;
 * a warm store run serves the identical matrix;
-* injected shard faults recover to the identical matrix;
+* injected tracking-shard faults recover to the identical matrix;
 * an atlas-only spec change reuses stages 1-2 (hits) and recomputes
   only the connectome (miss) — the sweep economics the stage hash
   exists to provide.
@@ -18,6 +18,7 @@ from repro.config import RunSpec
 from repro.models.fields import FiberField
 from repro.pipeline.connectome import compute_connectome
 from repro.runtime.faults import FaultPlan
+from repro.tracking import ProbtrackConfig, probabilistic_streamlining
 from repro.tracking.criteria import TerminationCriteria
 
 
@@ -34,9 +35,9 @@ def _bent_field(shape=(12, 8, 8)):
 
 @pytest.fixture(scope="module")
 def tracked_inputs():
-    fields = [_bent_field(), _bent_field()]
-    # 10 x 4 x 4 = 160 seeds -> three 64-seed blocks, so shard-level
-    # fault specs like "corrupt:s2" (third global block) have a target.
+    # Three samples, so sample-targeted fault specs like "corrupt:s2"
+    # (third global sample) have a target.
+    fields = [_bent_field(), _bent_field(), _bent_field()]
     xs, ys, zs = np.meshgrid(
         np.arange(1.0, 11.0, 1.0),
         np.arange(1.0, 7.0, 1.5),
@@ -48,30 +49,29 @@ def tracked_inputs():
     return fields, seeds, criteria
 
 
+def _connectome(tracked_inputs, atlas, **cfg_kw):
+    fields, seeds, criteria = tracked_inputs
+    pt = probabilistic_streamlining(
+        fields, ProbtrackConfig(criteria=criteria, **cfg_kw), seeds=seeds
+    )
+    return pt, compute_connectome(pt, fields[0].shape3, atlas)
+
+
 class TestWorkerParity:
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_matrix_bit_identical_across_worker_counts(
         self, tracked_inputs, n_workers
     ):
-        fields, seeds, criteria = tracked_inputs
-        serial = compute_connectome(
-            fields, seeds, "octant", criteria=criteria, n_workers=1
-        )
-        sharded = compute_connectome(
-            fields, seeds, "octant", criteria=criteria, n_workers=n_workers
-        )
+        pt1, serial = _connectome(tracked_inputs, "octant", n_workers=1)
+        ptn, sharded = _connectome(tracked_inputs, "octant", n_workers=n_workers)
+        np.testing.assert_array_equal(pt1.run.ends, ptn.run.ends)
         np.testing.assert_array_equal(serial.counts, sharded.counts)
         assert serial.n_streamlines == sharded.n_streamlines
         assert serial.graph == sharded.graph
-        assert len(serial.lines) == len(sharded.lines)
-        for a, b in zip(serial.lines, sharded.lines):
-            np.testing.assert_array_equal(a, b)
 
     def test_matrix_symmetric_and_consistent(self, tracked_inputs):
-        fields, seeds, criteria = tracked_inputs
-        res = compute_connectome(
-            fields, seeds, "grid2", criteria=criteria, n_workers=2
-        )
+        fields, seeds, _ = tracked_inputs
+        _, res = _connectome(tracked_inputs, "grid2", n_workers=2)
         np.testing.assert_array_equal(res.counts, res.counts.T)
         assert int(np.triu(res.counts).sum()) == res.n_streamlines
         # Every (sample, seed) streamline passes the default filter.
@@ -85,21 +85,17 @@ class TestFaultRecoveryParity:
     def test_injected_faults_recover_bit_identically(
         self, tracked_inputs, plan_text
     ):
-        fields, seeds, criteria = tracked_inputs
-        clean = compute_connectome(
-            fields, seeds, "octant", criteria=criteria, n_workers=2
-        )
-        faulty = compute_connectome(
-            fields,
-            seeds,
+        clean_pt, clean = _connectome(tracked_inputs, "octant", n_workers=2)
+        faulty_pt, faulty = _connectome(
+            tracked_inputs,
             "octant",
-            criteria=criteria,
             n_workers=2,
             fault_plan=FaultPlan.parse(plan_text),
         )
+        np.testing.assert_array_equal(clean_pt.run.ends, faulty_pt.run.ends)
         np.testing.assert_array_equal(clean.counts, faulty.counts)
-        assert faulty.supervision is not None
-        assert faulty.supervision.n_failures >= 1
+        assert faulty_pt.run.supervision is not None
+        assert faulty_pt.run.supervision.n_failures >= 1
 
 
 class TestStoreParity:
@@ -131,7 +127,7 @@ class TestStoreParity:
                 },
                 "tracking": {"max_steps": 10},
                 "connectome": {"atlas": atlas},
-                "runtime": {"connectome_workers": workers},
+                "runtime": {"n_workers": workers},
                 "telemetry": {"store": str(store)},
             }
         )
@@ -181,6 +177,50 @@ class TestStoreParity:
         assert len(by_stage["sampling"]) == 1
         assert len(by_stage["tracking"]) == 1
         assert len(by_stage["connectome"]) == 2
+
+    def test_stale_tracking_entry_is_refused(self, phantom, tmp_path_factory):
+        """A tracking entry published before end voxels were recorded
+        must fail loudly, naming itself, and never yield a matrix;
+        ``telemetry.cache = false`` replaces it with a current one."""
+        import shutil
+
+        from repro.errors import IOFormatError
+        from repro.pipeline import run_workflow
+        from repro.store import ArtifactStore
+
+        ph, mask = phantom
+        root = tmp_path_factory.mktemp("stale")
+        cold = run_workflow(ph, spec=self._spec(root, "octant"), fit_mask=mask)
+        store = ArtifactStore(root)
+        (row,) = [e for e in store.ls() if e["stage"] == "tracking"]
+        old = store.lookup("tracking", row["key"])
+        payload = {name: old.file(name).read_bytes() for name in old.files}
+        blob = np.load(old.file("arrays.npz"))
+        arrays = {k: blob[k] for k in blob.files if k != "ends"}
+        shutil.rmtree(old.path)
+
+        def _write_old_format(tmp_dir):
+            for name, data in payload.items():
+                (tmp_dir / name).write_bytes(data)
+            np.savez_compressed(tmp_dir / "arrays.npz", **arrays)
+
+        stale = store.publish("tracking", row["key"], _write_old_format)
+        with pytest.raises(IOFormatError, match="no-cache") as err:
+            run_workflow(ph, spec=self._spec(root, "grid2"), fit_mask=mask)
+        assert str(stale.path) in str(err.value)
+        assert not any(e["stage"] == "connectome" and e["meta"]["atlas"] == "grid2"
+                       for e in store.ls())
+
+        # --no-cache recomputes and supersedes the stale entry...
+        spec = self._spec(root, "octant").with_overrides({"telemetry.cache": False})
+        fresh = run_workflow(ph, spec=spec, fit_mask=mask)
+        np.testing.assert_array_equal(fresh.connectome.counts, cold.connectome.counts)
+        # ...so cached runs are served again.
+        warm = run_workflow(ph, spec=self._spec(root, "octant"), fit_mask=mask)
+        assert warm.cache["tracking_hit"] is True
+        np.testing.assert_array_equal(
+            warm.probtrack.run.ends, cold.probtrack.run.ends
+        )
 
     def test_atlas_none_skips_stage(self, phantom):
         from repro.pipeline import run_workflow

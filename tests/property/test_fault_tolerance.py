@@ -3,7 +3,8 @@
 Hypothesis generates arbitrary :class:`FaultPlan`s — crashes, hangs, and
 corrupted payloads at arbitrary shards/attempts — and the property is
 always the same: after supervised recovery, ``lengths``, stop
-``reasons``, and the sparse connectivity matrix match the
+``reasons``, end voxels (``ends``), and the sparse connectivity matrix
+match the
 :class:`SerialBackend` output bit for bit, for ``n_workers`` in {2, 4}
 and across the sorted/overlap/bidirectional option grid.  A
 pool-exhaustion scenario (every attempt of every shard crashes) must
@@ -91,6 +92,7 @@ def serial_reference(fields, seed_mask, order="natural", overlap=False,
 def assert_bit_identical(serial, recovered):
     assert np.array_equal(serial.run.lengths, recovered.run.lengths)
     assert np.array_equal(serial.run.reasons, recovered.run.reasons)
+    assert np.array_equal(serial.run.ends, recovered.run.ends)
     diff = serial.connectivity.probability() != recovered.connectivity.probability()
     assert diff.nnz == 0
     s_tot = serial.run.timeline.totals()

@@ -2,8 +2,9 @@
 
 The contract of ``tracking.engine = "fused"``: stacking every
 shard-local sample into one lockstep batch changes *scheduling only* —
-lengths, stop reasons, connectivity visit maps, and the deterministic
-telemetry counters are **bit-identical** to the per-sample engine, for
+lengths, stop reasons, end voxels, connectivity visit maps, and the
+deterministic telemetry counters are **bit-identical** to the per-sample
+engine, for
 any worker count, thread order, interpolation mode, bidirectional
 setting, compact threshold, and array backend.  Each row's arithmetic
 depends only on its own state and its own sample's field bytes, so the
@@ -76,6 +77,7 @@ def assert_identical(a, b, *, counters=True):
     rb, mb = b
     assert np.array_equal(ra.run.lengths, rb.run.lengths)
     assert np.array_equal(ra.run.reasons, rb.run.reasons)
+    assert np.array_equal(ra.run.ends, rb.run.ends)
     diff = ra.connectivity.probability() != rb.connectivity.probability()
     assert diff.nnz == 0
     if counters:

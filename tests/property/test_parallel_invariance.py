@@ -72,6 +72,7 @@ def test_worker_count_invariance(fields, order, overlap, bidirectional):
         parallel = run(fields, n_workers, order, overlap, bidirectional)
         assert np.array_equal(serial.run.lengths, parallel.run.lengths)
         assert np.array_equal(serial.run.reasons, parallel.run.reasons)
+        assert np.array_equal(serial.run.ends, parallel.run.ends)
         diff = serial.connectivity.probability() != parallel.connectivity.probability()
         assert diff.nnz == 0
         totals = parallel.run.timeline.totals()

@@ -4,8 +4,8 @@ The artifact store's contract (ISSUE 7): serving a stage from the store
 must be indistinguishable — bit for bit — from recomputing it.  This
 suite proves it end to end on :func:`~repro.pipeline.run_workflow`:
 
-* cold vs warm runs agree on posterior samples, streamline lengths and
-  stop reasons, connectivity counts, and the deterministic manifest
+* cold vs warm runs agree on posterior samples, streamline lengths,
+  stop reasons and end voxels, connectivity counts, and the deterministic manifest
   sections, across worker counts {1, 2, 4} and both tracking engines;
 * a run that edits only tracking parameters *reuses* the sampling
   artifact (hash hit) while a sampling edit misses;
@@ -93,6 +93,9 @@ def assert_bit_identical(cold, warm):
     )
     np.testing.assert_array_equal(
         wr_c.probtrack.run.reasons, wr_w.probtrack.run.reasons
+    )
+    np.testing.assert_array_equal(
+        wr_c.probtrack.run.ends, wr_w.probtrack.run.ends
     )
     shape3 = wr_c.bedpost.fields[0].shape3
     np.testing.assert_array_equal(

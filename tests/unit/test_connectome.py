@@ -1,23 +1,25 @@
 """Unit tests for the connectome stage's building blocks.
 
 Atlas construction, endpoint counting, graph export, the spec section,
-and the seed-block shard contract — each testable without running the
-MCMC or the tracker.
+and the fold over recorded end voxels — each testable without running
+the MCMC or the tracker.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.config import ConnectomeSpec, RunSpec
 from repro.connectome import (
-    Atlas,
     build_atlas,
     connectome_graph,
     endpoint_connectome,
-    seed_blocks,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrackingError
+from repro.pipeline.connectome import compute_connectome
 from repro.tracking.streamline import Streamline, StopReason
+from repro.utils.voxels import endpoint_voxel_index
 
 
 def _line(start, end):
@@ -95,6 +97,21 @@ class TestLabelAt:
         )
         np.testing.assert_array_equal(
             atlas.label_at(pts), [0, 0, 1, 3, 0, 3]
+        )
+
+    def test_shares_the_endpoint_binning_rule(self):
+        # rint would send 0.5 -> 0 and 2.5 -> 2 (halves to even); the
+        # endpoint rule rounds both up, exactly like label_at.
+        shape = (4, 4, 4)
+        pts = np.array([[0.5, 2.5, 1.49], [3.5, -0.5, 0.0]])
+        np.testing.assert_array_equal(
+            endpoint_voxel_index(pts, shape),
+            [(1 * 4 + 3) * 4 + 1, (3 * 4 + 0) * 4 + 0],
+        )
+        atlas = build_atlas("grid4", shape)
+        np.testing.assert_array_equal(
+            atlas.label_at(pts),
+            atlas.labels.reshape(-1)[endpoint_voxel_index(pts, shape)],
         )
 
     def test_bad_points_shape_raises(self):
@@ -200,7 +217,6 @@ class TestConnectomeSpec:
         assert spec.connectome.atlas == "none"
         assert spec.connectome.min_steps == 0
         assert spec.connectome.normalize == "count"
-        assert spec.runtime.connectome_workers == 1
 
     @pytest.mark.parametrize(
         "atlas", ["none", "octant", "slabs4", "grid2", "grid10"]
@@ -233,28 +249,70 @@ class TestConnectomeSpec:
 
     def test_dotted_override(self):
         spec = RunSpec().with_overrides(
-            {"connectome.atlas": "octant", "runtime.connectome_workers": 3}
+            {"connectome.atlas": "octant", "connectome.min_steps": 3}
         )
         assert spec.connectome.atlas == "octant"
-        assert spec.runtime.connectome_workers == 3
+        assert spec.connectome.min_steps == 3
 
     def test_connectome_workers_validated(self):
+        # The stage folds recorded endpoints and has no worker pool of
+        # its own: the old execution-policy field is an unknown key.
+        with pytest.raises(ConfigurationError, match="connectome_workers"):
+            RunSpec().with_overrides({"runtime.connectome_workers": 2})
+
+
+
+def _tracked(seeds, ends, lengths):
+    """A stand-in tracking result carrying only what the fold reads."""
+    run = SimpleNamespace(
+        ends=np.asarray(ends, dtype=np.int64),
+        lengths=np.asarray(lengths, dtype=np.int64),
+    )
+    return SimpleNamespace(seeds=np.asarray(seeds, dtype=np.float64), run=run)
+
+
+class TestComputeConnectome:
+    """The stage is a fold over recorded end voxels (slabs2 on 4x1x1:
+    voxels 0-1 are ROI 0, voxels 2-3 are ROI 1)."""
+
+    SHAPE = (4, 1, 1)
+
+    def test_unidirectional_pairs_seed_voxel_with_end(self):
+        seeds = [[0.0, 0, 0], [3.0, 0, 0], [0.6, 0, 0]]
+        # Two samples; seed 2 sits at x=0.6 -> voxel 1 (ROI 0).
+        tracked = _tracked(seeds, [[3, 0, 1], [2, 3, 3]], [[5, 5, 5], [5, 5, 5]])
+        res = compute_connectome(tracked, self.SHAPE, "slabs2")
+        # Pairs: (0,1) (1,0) (0,0) | (0,1) (1,1) (0,1)
+        np.testing.assert_array_equal(res.counts, [[1, 4], [4, 1]])
+        assert res.n_streamlines == 6
+        assert int(np.triu(res.counts).sum()) == res.n_streamlines
+        assert res.graph["n_streamlines"] == 6
+
+    def test_min_steps_filters_per_streamline(self):
+        tracked = _tracked([[0.0, 0, 0]] * 2, [[3, 1]], [[4, 2]])
+        res = compute_connectome(tracked, self.SHAPE, "slabs2", min_steps=3)
+        np.testing.assert_array_equal(res.counts, [[0, 1], [1, 0]])
+        assert res.n_streamlines == 1
+
+    def test_bidirectional_pairs_the_two_ends(self):
+        # Launches [+seed0, +seed1, -seed0, -seed1]: each seed counts
+        # once, as (forward end, backward end), never via its seed voxel.
+        seeds = [[1.0, 0, 0], [2.0, 0, 0]]
+        tracked = _tracked(seeds, [[3, 0, 0, 1]], [[2, 1, 1, 1]])
+        res = compute_connectome(tracked, self.SHAPE, "slabs2")
+        np.testing.assert_array_equal(res.counts, [[1, 1], [1, 0]])
+        assert res.n_streamlines == 2
+        # min_steps applies to the summed length: 2+1 passes, 1+1 fails.
+        res = compute_connectome(tracked, self.SHAPE, "slabs2", min_steps=3)
+        np.testing.assert_array_equal(res.counts, [[0, 1], [1, 0]])
+        assert res.n_streamlines == 1
+
+    def test_launch_count_must_match_seeds(self):
+        tracked = _tracked([[0.0, 0, 0]] * 2, [[0, 1, 2]], [[1, 1, 1]])
+        with pytest.raises(TrackingError, match="launches"):
+            compute_connectome(tracked, self.SHAPE, "slabs2")
+
+    def test_negative_min_steps_raises(self):
+        tracked = _tracked([[0.0, 0, 0]], [[0]], [[1]])
         with pytest.raises(ConfigurationError):
-            RunSpec().with_overrides({"runtime.connectome_workers": 0})
-
-
-class TestSeedBlocks:
-    def test_partition_covers_range(self):
-        blocks = seed_blocks(130, 64)
-        assert blocks == [(0, 64), (64, 128), (128, 130)]
-
-    def test_empty(self):
-        assert seed_blocks(0, 64) == []
-
-    def test_atlas_rebuild_matches_parent(self):
-        # Shards ship (name, shape) instead of the label volume; the
-        # worker-side rebuild must be identical.
-        a = build_atlas("grid2", (6, 6, 6))
-        b = build_atlas("grid2", (6, 6, 6))
-        assert isinstance(a, Atlas)
-        np.testing.assert_array_equal(a.labels, b.labels)
+            compute_connectome(tracked, self.SHAPE, "slabs2", min_steps=-1)

@@ -121,6 +121,7 @@ class TestTrackingRunResultSurface:
         res = TrackingRunResult(
             lengths=np.zeros((0, 0), dtype=np.int64),
             reasons=np.zeros((0, 0), dtype=np.int64),
+            ends=np.zeros((0, 0), dtype=np.int64),
             timeline=Timeline(),
         )
         assert res.longest_fiber == 0

@@ -79,8 +79,6 @@ class TestRegistryMechanics:
     def test_builtin_runners_and_shards_resolve(self):
         for sdef in stage_defs():
             assert callable(sdef.resolve_runner())
-            if sdef.shard is not None:
-                assert sdef.resolve_shard().stage == sdef.name
 
 
 def _toy_runner(ctx):

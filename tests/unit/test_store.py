@@ -239,6 +239,19 @@ class TestRaces:
         assert loser.files == winner.files
         assert loser.file("blob.txt").read_text() == "payload"
 
+    def test_replace_supersedes_a_valid_entry(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.publish("sampling", KEY, _write_payload)
+        fresh = store.publish(
+            "sampling", KEY, lambda d: _write_payload(d, text="fresh"),
+            replace=True,
+        )
+        assert fresh.file("blob.txt").read_text() == "fresh"
+        served = store.lookup("sampling", KEY)
+        assert served.file("blob.txt").read_text() == "fresh"
+        # The superseded copy is moved aside and removed, not left behind.
+        assert not any((store.root / "tmp").iterdir())
+
     def test_publish_replaces_invalid_existing(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         partial = store.entry_dir("sampling", KEY)
