@@ -22,9 +22,7 @@ from repro.mcmc.diagnostics import (
     geweke_zscore,
     split_rhat,
 )
-from repro.mcmc.gibbs import GibbsLinearModel
 from repro.mcmc.checkpoint import SamplerCheckpoint
-from repro.mcmc.multichain import MultiChainResult, run_chains
 from repro.mcmc.shards import (
     BEDPOST_BLOCK_SHARD,
     BlockTask,
@@ -47,8 +45,5 @@ __all__ = [
     "effective_sample_size",
     "geweke_zscore",
     "split_rhat",
-    "GibbsLinearModel",
     "SamplerCheckpoint",
-    "MultiChainResult",
-    "run_chains",
 ]

@@ -14,14 +14,14 @@ from typing import Callable
 
 import numpy as np
 
+from repro.models.posterior import LikelihoodCache
 from repro.rng.tausworthe import HybridTaus
-from repro.telemetry import get_registry
 
 __all__ = ["mh_parameter_update"]
 
 
 def mh_parameter_update(
-    log_posterior: Callable[[np.ndarray], np.ndarray],
+    log_posterior: LikelihoodCache | Callable[[np.ndarray], np.ndarray],
     params: np.ndarray,
     current_lp: np.ndarray,
     param_index: int,
@@ -33,7 +33,12 @@ def mh_parameter_update(
     Parameters
     ----------
     log_posterior:
-        Maps ``(n_vox, n_params)`` states to ``(n_vox,)`` log densities.
+        The target.  The sampler passes its posterior's
+        :class:`~repro.models.posterior.LikelihoodCache` of ``params``,
+        which evaluates the one-parameter proposal incrementally and is
+        updated here on accept.  Any other callable maps ``(n_vox,
+        n_params)`` states to ``(n_vox,)`` log densities and is evaluated
+        on the whole proposal state.
     params:
         Current states, modified **in place** where proposals are accepted.
     current_lp:
@@ -62,9 +67,14 @@ def mh_parameter_update(
     step = rng.normal() * proposal_sigma
     u = rng.uniform()
 
-    proposal = params.copy()
-    proposal[:, param_index] += step
-    prop_lp = log_posterior(proposal)
+    value = params[:, param_index] + step
+    cached = isinstance(log_posterior, LikelihoodCache)
+    if cached:
+        prop_lp = log_posterior.propose(params, param_index, value)
+    else:
+        proposal = params.copy()
+        proposal[:, param_index] = value
+        prop_lp = log_posterior(proposal)
 
     with np.errstate(invalid="ignore"):
         log_ratio = prop_lp - current_lp
@@ -72,12 +82,8 @@ def mh_parameter_update(
     log_ratio = np.where(np.isneginf(current_lp) & np.isfinite(prop_lp), np.inf, log_ratio)
     accepted = np.log(np.maximum(u, 1e-300)) < log_ratio
 
-    params[accepted, param_index] = proposal[accepted, param_index]
-    current_lp[accepted] = prop_lp[accepted]
-
-    # Proposal/accept counts are pure functions of the chain, so they
-    # belong to the manifest's deterministic section.
-    registry = get_registry()
-    registry.count("mcmc.proposals", params.shape[0])
-    registry.count("mcmc.accepts", int(np.count_nonzero(accepted)))
+    np.copyto(params[:, param_index], value, where=accepted)
+    np.copyto(current_lp, prop_lp, where=accepted)
+    if cached:
+        log_posterior.accept(accepted)
     return accepted, current_lp

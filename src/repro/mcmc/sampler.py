@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError, SamplerError
 from repro.mcmc.metropolis import mh_parameter_update
 from repro.mcmc.proposals import AdaptiveProposals
 from repro.models.fields import FiberField
-from repro.models.posterior import LogPosterior
+from repro.models.posterior import LikelihoodCache, LogPosterior
 from repro.rng.streams import seed_streams
 from repro.rng.tausworthe import HybridTaus
 from repro.telemetry import get_registry
@@ -267,18 +267,34 @@ class MCMCSampler:
             registry.count("mcmc.accepts", checkpoint.total_accepts)
         t0 = time.perf_counter()
 
+        # The incremental evaluator is derived state, rebuilt from the
+        # parameters on every start and resume; ``lp`` stays the one full
+        # evaluation's (or the checkpoint's, which equals it bitwise).
+        cache = LikelihoodCache(posterior, params)
+        # Timer name per parameter: mcmc.update.{s0,d,sigma,f,angle}.
+        layout = posterior.layout
+        kinds = [
+            "angle" if layout.is_angular(i) else layout.update_kind(i)[0]
+            for i in range(n_par)
+        ]
+
         def _run_loops(lo: int, hi: int, stage: str) -> None:
             """Run loops ``lo..hi`` inclusive under an ``mcmc.<stage>`` span."""
             nonlocal lp, taken, total_accepts
             if lo > hi:
                 return
+            accepts_before = total_accepts
+            update_s = dict.fromkeys(kinds, 0.0)
+            clock = time.perf_counter
             with registry.span(f"mcmc.{stage}", loops=hi - lo + 1, n_voxels=n_vox):
                 for loop in range(lo, hi + 1):
-                    for p_idx in range(n_par):
+                    for p_idx, kind in enumerate(kinds):
+                        t_update = clock()
                         accepted, lp = mh_parameter_update(
-                            posterior, params, lp, p_idx,
+                            cache, params, lp, p_idx,
                             proposals.sigma[:, p_idx], rng,
                         )
+                        update_s[kind] += clock() - t_update
                         proposals.record(p_idx, accepted)
                         total_accepts += int(np.count_nonzero(accepted))
                     registry.count("mcmc.loops", 1)
@@ -292,6 +308,15 @@ class MCMCSampler:
                             samples[taken] = params
                             taken += 1
                             registry.count("mcmc.samples_recorded", 1)
+            # Proposal/accept counts are pure functions of the chain, so
+            # they belong to the manifest's deterministic section.
+            n_loops = hi - lo + 1
+            registry.count("mcmc.proposals", n_loops * n_vox * n_par)
+            registry.count("mcmc.accepts", total_accepts - accepts_before)
+            for kind, seconds in update_s.items():
+                registry.add_time(
+                    f"mcmc.update.{kind}", seconds, n_loops * kinds.count(kind)
+                )
 
         # Fig 2's two phases, each under its own measured span.
         burn_end = min(end_loop, cfg.n_burnin)

@@ -20,7 +20,7 @@ from scipy.special import i0e
 
 from repro.errors import ModelError
 
-__all__ = ["gaussian_loglike", "rician_loglike"]
+__all__ = ["gaussian_loglike", "gaussian_loglike_sse", "rician_loglike"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -52,8 +52,12 @@ def gaussian_loglike(
         raise ModelError(
             f"sigma must have shape {data.shape[:1]}, got {sigma.shape}"
         )
-    m = data.shape[1]
-    sse = np.sum((data - mu) ** 2, axis=1)
+    return gaussian_loglike_sse(np.sum((data - mu) ** 2, axis=1), sigma, data.shape[1])
+
+
+def gaussian_loglike_sse(sse: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
+    """:func:`gaussian_loglike` from the per-voxel residual sum of squares
+    ``sse`` over ``m`` measurements (no shape checks: the MCMC hot path)."""
     ok = sigma > 0
     safe = np.where(ok, sigma, 1.0)
     ll = -0.5 * m * _LOG_2PI - m * np.log(safe) - sse / (2.0 * safe**2)

@@ -19,7 +19,35 @@ from repro.io.gradients import GradientTable
 from repro.models.base import DiffusionModel
 from repro.utils.geometry import spherical_to_cartesian
 
-__all__ = ["MultiFiberModel"]
+__all__ = ["MultiFiberModel", "neg_bd", "stick_dot2", "mix_signal"]
+
+
+def neg_bd(gtab: GradientTable, d: np.ndarray) -> np.ndarray:
+    """``(n, m)`` exponent ``-b_i d`` of the ball; ``ball = exp(neg_bd)``."""
+    return -(gtab.bvals[None, :] * d[:, None])
+
+
+def stick_dot2(gtab: GradientTable, direction: np.ndarray) -> np.ndarray:
+    """``(n, m)`` squared projection ``(r_i . v)^2`` of each gradient on
+    one stick's ``(n, 3)`` directions; ``stick = exp(neg_bd * dot2)``."""
+    return np.einsum("vj,mj->vm", direction, gtab.bvecs) ** 2
+
+
+def mix_signal(f: np.ndarray, ball: np.ndarray, sticks) -> np.ndarray:
+    """``(n, m)`` bracket of Eq. 1 from the compartment signals.
+
+    The one summation order of the model, ``f_iso * ball + (f_1 * stick_1
+    + f_2 * stick_2 + ...)``: the full evaluation and the MCMC stage's
+    incremental cache (:class:`repro.models.posterior.LikelihoodCache`)
+    both sum here, which keeps them bit-identical.
+    """
+    f_iso = 1.0 - f.sum(axis=1)
+    acc = f[:, :1] * sticks[0]
+    for j in range(1, len(sticks)):
+        acc += f[:, j : j + 1] * sticks[j]
+    # Addition commutes exactly, so adding in place keeps the order above.
+    acc += f_iso[:, None] * ball
+    return acc
 
 
 class MultiFiberModel(DiffusionModel):
@@ -77,12 +105,14 @@ class MultiFiberModel(DiffusionModel):
         dirs = np.asarray(dirs, dtype=np.float64)
         if dirs.ndim == 2:
             dirs = dirs[None]
-        b = gtab.bvals[None, :]
-        bd = b * d[:, None]  # (n, m)
-        ball = np.exp(-bd)
-        # (n, N, m): squared projection of each gradient on each stick.
-        dot2 = np.einsum("vnj,mj->vnm", dirs, gtab.bvecs) ** 2
-        sticks = np.exp(-bd[:, None, :] * dot2)
-        f_iso = 1.0 - f.sum(axis=1)
-        mix = f_iso[:, None] * ball + np.einsum("vn,vnm->vm", f, sticks)
-        return s0[:, None] * mix
+        if f.shape[1] != dirs.shape[1]:
+            raise ModelError(
+                f"f has {f.shape[1]} fibers, dirs has {dirs.shape[1]}"
+            )
+        exponent = neg_bd(gtab, d)
+        ball = np.exp(exponent)
+        sticks = [
+            np.exp(exponent * stick_dot2(gtab, dirs[:, j]))
+            for j in range(dirs.shape[1])
+        ]
+        return s0[:, None] * mix_signal(f, ball, sticks)

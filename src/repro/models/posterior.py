@@ -5,6 +5,14 @@
 evaluates ``log P(omega | Y, M) = log P(Y | omega, M) + log P(omega | M)``
 for *all voxels at once* — the lockstep structure the GPU kernel runs with
 one thread per voxel.
+
+An MH update changes one parameter per voxel, so the sampler does not
+call the full evaluation per update: :class:`LikelihoodCache` keeps each
+voxel's per-compartment forward-model terms and recomputes only those the
+changed parameter enters.  Each term is computed by the same function as
+in the full evaluation and re-summed in the same order
+(:func:`~repro.models.multi_fiber.mix_signal`), so its log-posterior is
+bit-identical to :meth:`LogPosterior.__call__` on the proposal.
 """
 
 from __future__ import annotations
@@ -15,13 +23,17 @@ import numpy as np
 
 from repro.errors import DataError, ModelError
 from repro.io.gradients import GradientTable
-from repro.models.likelihood import gaussian_loglike, rician_loglike
-from repro.models.multi_fiber import MultiFiberModel
+from repro.models.likelihood import (
+    gaussian_loglike,
+    gaussian_loglike_sse,
+    rician_loglike,
+)
+from repro.models.multi_fiber import MultiFiberModel, mix_signal, neg_bd, stick_dot2
 from repro.models.priors import MultiFiberPriors
 from repro.models.tensor import TensorModel
-from repro.utils.geometry import cartesian_to_spherical
+from repro.utils.geometry import cartesian_to_spherical, spherical_to_cartesian
 
-__all__ = ["ParameterLayout", "LogPosterior"]
+__all__ = ["ParameterLayout", "LogPosterior", "LikelihoodCache"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,21 @@ class ParameterLayout:
     @property
     def phi(self) -> slice:
         return slice(3 + 2 * self.n_fibers, 3 + 3 * self.n_fibers)
+
+    def update_kind(self, index: int) -> tuple[str, int]:
+        """What an update of flat parameter ``index`` changes.
+
+        Returns ``(group, fiber)``: ``group`` is the parameter's
+        :meth:`unpack` key (``"s0"``, ``"d"``, ``"sigma"``, ``"f"``,
+        ``"theta"`` or ``"phi"``) and ``fiber`` its stick index (0 for
+        the scalar groups).
+        """
+        n = self.n_fibers
+        if not 0 <= index < self.n_params:
+            raise ModelError(f"parameter index {index} outside [0, {self.n_params})")
+        if index < 3:
+            return ("s0", "d", "sigma")[index], 0
+        return ("f", "theta", "phi")[(index - 3) // n], (index - 3) % n
 
     def is_angular(self, index: int) -> bool:
         """Is flat parameter ``index`` an angle (theta or phi)?"""
@@ -247,3 +274,134 @@ class LogPosterior:
             params[:, layout.sigma] = np.abs(params[:, layout.sigma]) + 1e-6
             params[:, layout.f] = np.clip(params[:, layout.f], 0.0, 0.45)
         return params
+
+
+class LikelihoodCache:
+    """Per-voxel compartment terms of one chain state, for MH updates.
+
+    Holds, for every voxel of ``posterior``'s block, the ``(n, m)`` ball
+    signal, each stick's ``(r . v_j)^2`` and signal, and the mixed
+    bracket of Eq. 1, plus the likelihood's input: the residual sum of
+    squares (gaussian) or the predicted signal (rician).  That is
+    ``(2 + 2N) n m`` floats (``(3 + 2N) n m`` for rician) next to the
+    ``(n, 3 + 3N)`` state, and the prior's per-group terms
+    (:meth:`~repro.models.priors.MultiFiberPriors.group_term`).
+
+    :meth:`propose` evaluates a proposal that changes one parameter and
+    recomputes only the terms that parameter enters:
+
+    * ``sigma``: no forward model, the likelihood from the cached input;
+    * ``s0``: rescales the cached mix;
+    * ``f_j``: re-mixes the cached ball and sticks;
+    * ``theta_j`` / ``phi_j``: stick ``j``'s projection and signal;
+    * ``d``: the ball and every stick from the cached projections.
+
+    :meth:`accept` then writes the new terms back into the accepted rows.
+    The cache is derived state: every term is a pure function of its own
+    parameters, so a cache built from a state equals one updated into it,
+    and checkpoints never store it.
+
+    Terms are computed for every row, also where the prior vetoes the
+    state (the full evaluation skips those rows; their log-posterior is
+    ``-inf`` either way), so a row's terms always match its parameters.
+    """
+
+    #: The groups the prior factorizes over (``phi`` does not enter).
+    PRIOR_GROUPS = ("s0", "d", "sigma", "f", "theta")
+
+    def __init__(self, posterior: LogPosterior, params: np.ndarray) -> None:
+        self.posterior = posterior
+        self._gaussian = posterior.noise_model == "gaussian"
+        p = posterior.layout.unpack(np.asarray(params, dtype=np.float64))
+        priors, gtab = posterior.priors, posterior.gtab
+        self.prior_terms = {g: priors.group_term(g, p[g]) for g in self.PRIOR_GROUPS}
+        self.prior = priors.combine(self.prior_terms)
+        with np.errstate(all="ignore"):
+            exponent = neg_bd(gtab, p["d"])
+            self.ball = np.exp(exponent)
+            dirs = spherical_to_cartesian(p["theta"], p["phi"])
+            self.dot2 = np.stack(
+                [stick_dot2(gtab, dirs[:, j]) for j in range(dirs.shape[1])]
+            )
+            self.sticks = np.exp(exponent * self.dot2)
+            self.mix = mix_signal(p["f"], self.ball, self.sticks)
+            self.signal = self._likelihood_input(p["s0"][:, None] * self.mix)
+        #: ``(cached array, new values)`` pairs of the last proposal.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _likelihood_input(self, mu: np.ndarray) -> np.ndarray:
+        """What the likelihood keeps of ``mu``: the gaussian's residual
+        sum of squares, or ``mu`` itself for the rician."""
+        if self._gaussian:
+            return np.sum((self.posterior.data - mu) ** 2, axis=1)
+        return mu
+
+    def _loglike(self, signal: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        data = self.posterior.data
+        if self._gaussian:
+            return gaussian_loglike_sse(signal, sigma, data.shape[1])
+        return rician_loglike(data, signal, sigma)
+
+    def propose(
+        self, params: np.ndarray, index: int, value: np.ndarray
+    ) -> np.ndarray:
+        """``(n,)`` log-posterior of ``params`` with column ``index`` set
+        to ``value``, bit-identical to the full evaluation of that state.
+
+        ``params`` must be the state the cache describes.  The new terms
+        are held until :meth:`accept`.
+        """
+        post = self.posterior
+        proposal = params.copy()
+        proposal[:, index] = value
+        p = post.layout.unpack(proposal)
+        group, j = post.layout.update_kind(index)
+        pending = []
+
+        prior = self.prior
+        if group != "phi":
+            old = self.prior_terms[group]
+            new = post.priors.group_term(group, p[group])
+            prior = post.priors.combine({**self.prior_terms, group: new})
+            pending += [(o, n) for o, n in zip(old, new) if o is not None]
+            pending.append((self.prior, prior))
+
+        with np.errstate(all="ignore"):
+            if group == "sigma":
+                signal = self.signal
+            else:
+                if group == "s0":
+                    mix = self.mix
+                else:
+                    ball, sticks = self.ball, self.sticks
+                    if group == "d":
+                        exponent = neg_bd(post.gtab, p["d"])
+                        ball = np.exp(exponent)
+                        sticks = np.exp(exponent * self.dot2)
+                        pending.append((self.ball, ball))
+                        pending += zip(self.sticks, sticks)
+                    elif group in ("theta", "phi"):
+                        direction = spherical_to_cartesian(
+                            p["theta"][:, j], p["phi"][:, j]
+                        )
+                        dot2 = stick_dot2(post.gtab, direction)
+                        stick = np.exp(neg_bd(post.gtab, p["d"]) * dot2)
+                        sticks = list(sticks)
+                        sticks[j] = stick
+                        pending += [(self.dot2[j], dot2), (self.sticks[j], stick)]
+                    mix = mix_signal(p["f"], ball, sticks)
+                    pending.append((self.mix, mix))
+                signal = self._likelihood_input(p["s0"][:, None] * mix)
+                pending.append((self.signal, signal))
+            ll = self._loglike(signal, p["sigma"])
+            out = np.where(np.isfinite(prior), prior + ll, prior)
+        self._pending = pending
+        return out
+
+    def accept(self, accepted: np.ndarray) -> None:
+        """Adopt the last proposal's terms in the ``accepted`` rows only."""
+        if accepted.any():
+            rows = accepted[:, None]
+            for cached, new in self._pending:
+                np.copyto(cached, new, where=rows if cached.ndim == 2 else accepted)
+        self._pending = []

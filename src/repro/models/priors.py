@@ -69,29 +69,64 @@ class MultiFiberPriors:
         """Joint log-prior for each voxel; ``-inf`` outside the support.
 
         Shapes: ``s0, d, sigma`` are ``(n,)``; ``f, theta, phi`` are
-        ``(n, N)``.  ``phi`` is unconstrained (the density is periodic).
+        ``(n, N)``.  ``phi`` is unconstrained (the density is periodic)
+        and does not enter.
         """
-        n = s0.shape[0]
-        logp = np.zeros(n, dtype=np.float64)
+        return self.combine(
+            {
+                "s0": self.group_term("s0", s0),
+                "d": self.group_term("d", d),
+                "sigma": self.group_term("sigma", sigma),
+                "f": self.group_term("f", f),
+                "theta": self.group_term("theta", theta),
+            }
+        )
 
-        bad = (s0 <= 0) | (s0 > self.s0_max)
-        bad |= (d <= 0) | (d > self.d_max)
-        lo, hi = self.sigma_bounds
-        bad |= (sigma < lo) | (sigma > hi)
-        bad |= np.any(f < 0.0, axis=1) | (f.sum(axis=1) > 1.0)
+    def group_term(
+        self, group: str, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(veto, log-density term)`` of one parameter group per voxel.
 
-        # Jeffreys prior on sigma.
-        safe_sigma = np.where(bad, 1.0, sigma)
-        logp -= np.log(safe_sigma)
+        The prior factorizes over the groups ``s0``, ``d``, ``sigma``,
+        ``f`` and ``theta``: ``veto`` marks voxels outside the group's
+        support, and the term (``None`` for the flat ``s0`` / ``d``
+        priors) is what :meth:`combine` adds up.  The MCMC stage's
+        likelihood cache recomputes only the group an update changes.
+        """
+        if group == "s0":
+            return (values <= 0) | (values > self.s0_max), None
+        if group == "d":
+            return (values <= 0) | (values > self.d_max), None
+        if group == "sigma":
+            # Jeffreys prior on sigma: the term is log(sigma).
+            lo, hi = self.sigma_bounds
+            veto = (values < lo) | (values > hi)
+            return veto, np.log(np.where(veto, 1.0, values))
+        if group == "f":
+            veto = np.any(values < 0.0, axis=1) | (values.sum(axis=1) > 1.0)
+            if self.ard and values.shape[1] > 1:
+                f_sec = np.maximum(values[:, 1:], self.f_min_ard)
+                return veto, np.log(f_sec).sum(axis=1)
+            return veto, None
+        if group == "theta":
+            # Uniform-on-sphere prior: p(theta) ~ |sin theta|; the poles
+            # have zero density.
+            sin_t = np.abs(np.sin(values))
+            veto = np.any(sin_t <= 0.0, axis=1)
+            return veto, np.log(np.where(sin_t > 0.0, sin_t, 1.0)).sum(axis=1)
+        raise ConfigurationError(f"unknown prior group {group!r}")
 
-        # Uniform-on-sphere prior: p(theta) ~ |sin theta|.
-        sin_t = np.abs(np.sin(theta))
-        bad |= np.any(sin_t <= 0.0, axis=1)  # poles have zero density
-        safe_sin = np.where(sin_t > 0.0, sin_t, 1.0)
-        logp += np.log(safe_sin).sum(axis=1)
-
-        if self.ard and f.shape[1] > 1:
-            f_sec = np.maximum(f[:, 1:], self.f_min_ard)
-            logp -= np.log(f_sec).sum(axis=1)
-
-        return np.where(bad, -np.inf, logp)
+    @staticmethod
+    def combine(terms: dict) -> np.ndarray:
+        """The joint log-prior from every group's :meth:`group_term`."""
+        veto = terms["s0"][0] | terms["d"][0]
+        veto |= terms["sigma"][0]
+        veto |= terms["f"][0]
+        veto |= terms["theta"][0]
+        logp = np.zeros(veto.shape[0], dtype=np.float64)
+        logp -= terms["sigma"][1]
+        logp += terms["theta"][1]
+        ard = terms["f"][1]
+        if ard is not None:
+            logp -= ard
+        return np.where(veto, -np.inf, logp)

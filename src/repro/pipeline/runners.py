@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_hash
-from repro.pipeline.bedpost import BedpostConfig, bedpost
+from repro.pipeline.bedpost import bedpost
 from repro.pipeline.tracto import tracto
 from repro.telemetry import get_registry
 from repro.tracking.probtrack import ProbtrackConfig

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.rng.boxmuller import box_muller
 
 __all__ = ["HybridTaus", "TAUS_PARAMS", "taus_step", "lcg_step"]
 
@@ -41,6 +42,12 @@ TAUS_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (13, 19, 12, 0xFFFFFFFE),
     (2, 25, 4, 0xFFFFFFF8),
     (3, 11, 17, 0xFFFFFFF0),
+)
+
+#: The same parameters as ``(3, 1)`` columns, one row per component,
+#: for :meth:`HybridTaus.next_uint32`'s stacked step.
+_S1, _S2, _S3, _M = (
+    np.array(col, dtype=np.uint32)[:, None] for col in zip(*TAUS_PARAMS)
 )
 
 _LCG_A = np.uint32(1664525)
@@ -54,16 +61,25 @@ _U32_TO_UNIT = 2.3283064365386963e-10
 MIN_STATE = 128
 
 
-def taus_step(z: np.ndarray, s1: int, s2: int, s3: int, mask: int) -> np.ndarray:
-    """Advance one Tausworthe component in place; returns the new state."""
-    b = ((z << np.uint32(s1)) ^ z) >> np.uint32(s2)
-    z[...] = ((z & np.uint32(mask)) << np.uint32(s3)) ^ b
+def taus_step(z: np.ndarray, s1, s2, s3, mask) -> np.ndarray:
+    """Advance Tausworthe state words in place; returns the new state.
+
+    The parameters are one component's ints, or ``(k, 1)`` columns that
+    advance the ``k`` rows of ``z`` as ``k`` components in one step.
+    """
+    b = np.left_shift(z, s1)
+    b ^= z
+    b >>= s2
+    z &= mask
+    z <<= s3
+    z ^= b
     return z
 
 
 def lcg_step(z: np.ndarray) -> np.ndarray:
-    """Advance the LCG component in place; returns the new state."""
-    z[...] = _LCG_A * z + _LCG_C
+    """Advance the LCG component in place (mod 2**32); returns the new state."""
+    z *= _LCG_A
+    z += _LCG_C
     return z
 
 
@@ -84,6 +100,11 @@ class HybridTaus:
     All draw methods advance *every* thread lane — exactly what a SIMD warp
     does — so masked/conditional consumption on the caller's side does not
     desynchronize streams between runs.
+
+    Internally the three Tausworthe words are one contiguous ``(3, n)``
+    array advanced by a single broadcast shift/mask step (row ``i`` uses
+    component ``i``'s ``S1/S2/S3/M``), and the LCG words are one ``(n,)``
+    array; :attr:`state` reassembles the ``(n_threads, 4)`` layout.
     """
 
     def __init__(self, state: np.ndarray) -> None:
@@ -99,26 +120,28 @@ class HybridTaus:
                 f"Tausworthe state words must be >= {MIN_STATE} "
                 "(degenerate orbits otherwise); use seed_streams()"
             )
-        self._state = state.copy()
+        self._taus = np.ascontiguousarray(state[:, :3].T)
+        self._lcg = state[:, 3].copy()
 
     @property
     def n_threads(self) -> int:
         """Number of independent lanes."""
-        return self._state.shape[0]
+        return self._lcg.shape[0]
 
     @property
     def state(self) -> np.ndarray:
         """A copy of the current per-thread state (for checkpointing)."""
-        return self._state.copy()
+        out = np.empty((self.n_threads, 4), dtype=np.uint32)
+        out[:, :3] = self._taus.T
+        out[:, 3] = self._lcg
+        return out
 
     def next_uint32(self) -> np.ndarray:
         """One uint32 per thread; advances all lanes."""
-        s = self._state
-        with np.errstate(over="ignore"):
-            out = taus_step(s[:, 0], *TAUS_PARAMS[0])
-            out = out ^ taus_step(s[:, 1], *TAUS_PARAMS[1])
-            out = out ^ taus_step(s[:, 2], *TAUS_PARAMS[2])
-            out = out ^ lcg_step(s[:, 3])
+        z = taus_step(self._taus, _S1, _S2, _S3, _M)
+        out = z[0] ^ z[1]
+        out ^= z[2]
+        out ^= lcg_step(self._lcg)
         return out
 
     def uniform(self) -> np.ndarray:
@@ -141,8 +164,6 @@ class HybridTaus:
         parameter update: two for the Gaussian proposal increment (this
         call) and one for the accept/reject test (:meth:`uniform`).
         """
-        from repro.rng.boxmuller import box_muller
-
         u1 = self.uniform()
         u2 = self.uniform()
         return box_muller(u1, u2)

@@ -132,7 +132,7 @@ class TestRicianPosterior:
         cfg = MCMCConfig(n_burnin=10, n_samples=3, sample_interval=1)
         lock = MCMCSampler(cfg).run(post)
         scal = MCMCSampler(cfg).run_scalar(post)
-        np.testing.assert_allclose(lock.samples, scal.samples, rtol=1e-10)
+        np.testing.assert_array_equal(lock.samples, scal.samples)
 
 
 class TestBallStickFit:
